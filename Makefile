@@ -1,8 +1,9 @@
 # BTR reproduction — build / test / benchmark entry points.
 #
 # `make ci` is the gate every PR must pass (and exactly what
-# .github/workflows/ci.yml runs): gofmt diff check, vet, build, and the
-# full test suite under the race detector. `make bench-json` regenerates
+# .github/workflows/ci.yml runs): gofmt diff check, vet, build, the
+# full test suite under the race detector, and vet + tests of the
+# perfbench benchmark module. `make bench-json` regenerates
 # BENCH_campaign.json, the tracked perf trajectory of the experiment
 # table and the plan cache; `make bench-check` regenerates it to a
 # scratch file and gates against the committed baseline via
@@ -13,7 +14,7 @@ FUZZTIME ?= 30s
 # Minimum total statement coverage `make cover` enforces.
 COVER_MIN ?= 75
 
-.PHONY: all build test vet fmt fmt-check race ci cover docs-check bench bench-json bench-new bench-check fuzz campaign smoke-proc smoke-client clean
+.PHONY: all build test vet fmt fmt-check race perfbench-test ci cover docs-check bench bench-json bench-new bench-check fuzz campaign smoke-proc smoke-client clean
 
 all: build
 
@@ -116,7 +117,13 @@ smoke-client:
 		-period 500ms -margin 200ms -horizon 10 -at 3 -seed 7 \
 		-fault kill-restart -clients 8 -ops 200
 
-ci: fmt-check vet build race
+# The benchmark harness is its own module (perfbench/go.mod), outside
+# ./..., so vet and test it separately.
+perfbench-test:
+	$(GO) -C perfbench vet .
+	$(GO) -C perfbench test .
+
+ci: fmt-check vet build race perfbench-test
 	@echo "ci: OK"
 
 clean:

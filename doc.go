@@ -45,8 +45,12 @@
 // verification and sealing are deterministic, so they are memoized
 // (positive entries only, full-triple keys) and evidence blobs are
 // encoded once and forwarded by slice reuse — campaign wall clock drops
-// >2x while every simulated-time result, including the virtual
-// sig.CostModel charges, stays byte-identical.
+// >2x while every simulated-time result, including the scheduler's
+// modeled per-message crypto charges (sched.Params SignCost/VerifyCost),
+// stays byte-identical. The runtime also skips crypto that was never
+// needed: a task output is sealed once for all its output edges, and a
+// duplicate evidence blob is dropped by its ID before its endorsement is
+// verified.
 //
 // Start with README.md, the runnable examples under examples/, or the
 // experiment harness:

@@ -2,12 +2,15 @@ package faultrate
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 
 	"btr/internal/core"
 	"btr/internal/flow"
 	"btr/internal/metrics"
 	"btr/internal/network"
+	"btr/internal/plan"
+	"btr/internal/plan/cache"
 	"btr/internal/sim"
 )
 
@@ -351,6 +354,69 @@ func TestCovered(t *testing.T) {
 	}{{5, false}, {10, true}, {20, true}, {25, false}, {45, true}, {55, false}} {
 		if got := covered(ivs, c.t); got != c.want {
 			t.Errorf("covered(%v) = %v, want %v", c.t, got, c.want)
+		}
+	}
+}
+
+// A plan-cached deployment under a fault-arrival schedule must replay
+// identically for a seed: the kernel executes the same number of events
+// every run. Same-instant arrival watchdogs are the hazard — armed in
+// map order they fired in a different order on each run.
+func TestPlanCachedReplayDeterministic(t *testing.T) {
+	const (
+		period  = 25 * sim.Millisecond
+		horizon = 200
+		// seed draws a schedule that, with the watchdogs armed in map
+		// order, replayed to one of three event counts at random.
+		seed = 0x437057a4eb7c3a13
+	)
+	run := func() uint64 {
+		s, err := core.NewSystem(core.Config{
+			Seed:         seed,
+			Workload:     flow.Chain(3, period, sim.Millisecond, 64, flow.CritA),
+			Topology:     network.FullMesh(8, 20_000_000, 50*sim.Microsecond),
+			PlanOpts:     plan.DefaultOptions(2, 500*sim.Millisecond),
+			PlanCache:    cache.New(),
+			Horizon:      horizon,
+			ForgiveAfter: 8 * period,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Every task-hosting node, with the logical tasks it hosts.
+		var victims []Victim
+		index := map[network.NodeID]int{}
+		base := s.Strategy.Plans[""]
+		for _, id := range base.Aug.TaskIDs() {
+			n := base.Assign[id]
+			i, ok := index[n]
+			if !ok {
+				i = len(victims)
+				index[n] = i
+				victims = append(victims, Victim{Node: n})
+			}
+			logical, _ := plan.SplitReplica(id)
+			if !slices.Contains(victims[i].Logicals, logical) {
+				victims[i].Logicals = append(victims[i].Logicals, logical)
+			}
+		}
+		arrivals := Schedule(Params{
+			Lambda: 2, Heal: 8 * period, Forgive: 8 * period, Period: period,
+			Start: 4 * period, Horizon: horizon * period, F: 2, Seed: seed,
+		}, victims)
+		if len(arrivals) == 0 {
+			t.Fatal("no fault arrivals: test exercises nothing")
+		}
+		if err := Install(s, arrivals); err != nil {
+			t.Fatal(err)
+		}
+		s.Run()
+		return s.Kernel.Executed
+	}
+	want := run()
+	for i := 1; i < 6; i++ {
+		if got := run(); got != want {
+			t.Fatalf("run %d executed %d kernel events, run 0 executed %d", i, got, want)
 		}
 	}
 }

@@ -46,6 +46,7 @@ func (p *Plan) Relabel(perm []network.NodeID) *Plan {
 			Period: p.Table.Period,
 			Slots:  slots,
 			Msgs:   msgs,
+			Edges:  p.Table.Edges,
 			Finish: p.Table.Finish,
 			Ready:  p.Table.Ready,
 		},

@@ -20,7 +20,10 @@ import (
 // returns its retained wire bytes from Encode, and the endorsement seal +
 // frame come from the registry's seal memo — so re-flooding a blob this
 // node (or a same-seed trial anywhere in the process) has sealed before
-// allocates nothing and performs no signing.
+// allocates nothing and performs no signing. The flood hands most nodes
+// the same blob from several neighbors; a receiver drops every copy
+// after the first by its ID before verifying the endorsement (see
+// onEvidenceMessage), so the redundant copies cost it no ed25519 work.
 func (n *Node) forwardEvidence(ev evidence.Evidence) {
 	if b := n.behavior; b != nil && b.SuppressForwarding {
 		return
@@ -52,6 +55,12 @@ func (n *Node) floodBogus(count int) {
 }
 
 // onEvidenceMessage handles an incoming evidence frame from a neighbor.
+// It drops the frame if the sender is convicted or over its rate budget,
+// or if the blob's ID was already seen; that check runs before any
+// signature work. Otherwise it verifies the endorsement, validates the
+// blob, and accepts and re-floods it. A validly endorsed blob that does
+// not decode, or fails a mode-independent validation, convicts its
+// endorser.
 func (n *Node) onEvidenceMessage(m *network.Message) {
 	if n.faults.Contains(m.From) {
 		return // isolate convicted nodes: no further verification work
@@ -67,10 +76,17 @@ func (n *Node) onEvidenceMessage(m *network.Message) {
 	if err != nil {
 		return // unframeable: MAC-level garbage
 	}
+	// Dedupe by evidence ID before verifying the endorsement: a blob
+	// this node has already seen is dropped whatever its endorsement
+	// says, so checking the signature first would only burn an ed25519
+	// verify on every redundant copy the flood delivers.
+	inner, err := evidence.Decode(wrapper.Body)
+	if err == nil && n.seenEvidence[inner.ID()] {
+		return
+	}
 	if !n.cfg.Registry.Check(wrapper) {
 		return // endorsement signature invalid: cannot attribute, drop
 	}
-	inner, err := evidence.Decode(wrapper.Body)
 	if err != nil {
 		// The endorser signed an undecodable blob: proof against it.
 		n.EvidenceRejected++
@@ -78,10 +94,6 @@ func (n *Node) onEvidenceMessage(m *network.Message) {
 			Kind: evidence.KindBogus, Accused: wrapper.Signer, Reporter: n.id,
 			DetectedAt: n.cfg.Kernel.Now(), Primary: wrapper,
 		})
-		return
-	}
-	id := inner.ID()
-	if n.seenEvidence[id] {
 		return
 	}
 	if verr := n.validator().Validate(inner); verr != nil {
@@ -99,7 +111,7 @@ func (n *Node) onEvidenceMessage(m *network.Message) {
 		}
 		return
 	}
-	n.seenEvidence[id] = true
+	n.seenEvidence[inner.ID()] = true
 	n.EvidenceAccepted++
 	if n.cfg.OnEvidence != nil {
 		n.cfg.OnEvidence(n.id, inner, n.cfg.Kernel.Now())

@@ -1,6 +1,7 @@
 package runtime
 
 import (
+	"bytes"
 	"fmt"
 	"os"
 	"sort"
@@ -177,13 +178,14 @@ func (n *Node) schedulePeriod(p uint64) {
 	// Arm arrival watchdogs for edges whose consumer lives here (local
 	// handoffs included: a colocated producer replica can omit too). The
 	// handle is kept so the watchdog can be disarmed the moment the
-	// record arrives.
+	// record arrives. Arming walks the edges in the table's sorted order
+	// so same-instant watchdogs fire in the same order on every replay.
 	margin := n.strat.Opts.WatchdogMargin
-	for e, w := range cur.Table.Msgs {
+	for _, e := range cur.Table.Edges {
 		if cur.Assign[e.To] != n.id {
 			continue
 		}
-		e, w := e, w
+		e, w := e, cur.Table.Msgs[e]
 		h := k.At(base+w.Arrive+margin, func() { n.checkArrived(cur, p, e, w) })
 		n.watchdogs[watchKey{p, e.From, e.To}] = h
 	}
@@ -322,9 +324,12 @@ func (n *Node) finishTask(cur *plan.Plan, p uint64, task flow.TaskID) {
 		n.actuate(cur, p, logical, rec, atts)
 	}
 
-	// Emit one message per output edge.
+	// Emit one message per output edge. The record is sealed and framed
+	// once and every edge that carries it unchanged sends those bytes.
+	env := n.cfg.Registry.Seal(n.id, rec.Encode())
+	payload := dataPayload(env, atts)
 	for _, e := range cur.Aug.Outputs(task) {
-		n.emit(cur, p, rec, atts, e)
+		n.emit(cur, rec, atts, env, payload, e)
 	}
 }
 
@@ -362,23 +367,27 @@ func (n *Node) actuate(cur *plan.Plan, p uint64, logical flow.TaskID, rec eviden
 	}
 }
 
-// emit signs and sends one record instance along edge e, applying the
-// adversary's output hook if installed.
-func (n *Node) emit(cur *plan.Plan, p uint64, rec evidence.Record, atts []sig.Envelope, e flow.Edge) {
-	outRec := rec
+// emit sends one record instance along edge e: the honest record's
+// sealed envelope env and its data frame payload, unless the adversary's
+// output hook suppresses, delays or rewrites it. A rewritten record is
+// sealed on its own; ed25519 is deterministic, so an unchanged one goes
+// out as the same bytes a per-edge seal would produce.
+func (n *Node) emit(cur *plan.Plan, rec evidence.Record, atts []sig.Envelope, env sig.Envelope, payload []byte, e flow.Edge) {
 	var extraDelay sim.Time
 	if b := n.behavior; b != nil && b.OnOutput != nil {
 		mutated, delay, send := b.OnOutput(rec, e.To)
 		if !send {
 			return
 		}
-		outRec, extraDelay = mutated, delay
+		extraDelay = delay
+		// Equivocation keeps the committed attachments: the adversary
+		// mutates the record, not its inputs (a mismatched digest would
+		// be a bad-input proof instead).
+		if body := mutated.Encode(); !bytes.Equal(body, env.Body) {
+			env = n.cfg.Registry.Seal(n.id, body)
+			payload = dataPayload(env, atts)
+		}
 	}
-	env := n.cfg.Registry.Seal(n.id, outRec.Encode())
-	// Equivocation requires a fresh digest? No: the adversary mutates the
-	// record but keeps the committed attachments (a mismatched digest
-	// would be a bad-input proof instead).
-	payload := dataPayload(env, atts)
 	dst := cur.Assign[e.To]
 	send := func() {
 		if dst == n.id {

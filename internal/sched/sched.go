@@ -72,6 +72,9 @@ type Table struct {
 	Slots map[network.NodeID][]Slot
 	// Msgs holds one window per inter-node edge, keyed by edge identity.
 	Msgs map[flow.Edge]MsgWindow
+	// Edges lists Msgs' keys sorted by (From, To): the order in which
+	// code that must replay deterministically walks the windows.
+	Edges []flow.Edge
 	// Finish is each task's completion offset.
 	Finish map[flow.TaskID]sim.Time
 	// Ready is each task's input-availability offset.
@@ -223,6 +226,20 @@ func Build(g *flow.Graph, assign map[flow.TaskID]network.NodeID, topo *network.T
 	for node, cpu := range cpus {
 		t.Slots[node] = cpu.iv
 	}
+	t.Edges = make([]flow.Edge, 0, len(t.Msgs))
+	for e := range t.Msgs {
+		t.Edges = append(t.Edges, e)
+	}
+	sort.Slice(t.Edges, func(i, j int) bool {
+		a, b := t.Edges[i], t.Edges[j]
+		if a.From != b.From {
+			return a.From < b.From
+		}
+		if a.To != b.To {
+			return a.To < b.To
+		}
+		return a.Bytes < b.Bytes
+	})
 	return t, nil
 }
 

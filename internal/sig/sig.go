@@ -5,10 +5,10 @@
 // but not other nodes' private keys, so evidence built from signed
 // statements is self-certifying (§4.2 of the paper).
 //
-// Because BTR schedules crypto alongside the workload ("there are no extra
-// resources for BTR", §4.1), the package also exposes a CostModel charging
-// virtual CPU time for sign/verify operations. The CostModel is the
-// simulated price and never changes; the *host* price is cut by the
+// BTR schedules crypto alongside the workload ("there are no extra
+// resources for BTR", §4.1). The simulated price of a signature is the
+// scheduler's per-message charge (sched.Params SignCost/VerifyCost); this
+// package does the real ed25519 work, and its *host* price is cut by the
 // verification/seal memos in memo.go, which exploit ed25519's determinism
 // to make Verify a memoized pure function (see memo.go for the soundness
 // argument: positive-only entries keyed by the full signer/digest/signature
@@ -27,25 +27,11 @@ import (
 	"btr/internal/sim"
 )
 
-// CostModel gives the virtual CPU time consumed by crypto operations.
-// Defaults approximate an embedded-class CPU (the paper notes CPS CPUs are
-// "far less powerful than CPUs in servers").
-type CostModel struct {
-	Sign   sim.Time
-	Verify sim.Time
-}
-
-// DefaultCosts is a plausible embedded-CPU cost model.
-func DefaultCosts() CostModel {
-	return CostModel{Sign: 200 * sim.Microsecond, Verify: 400 * sim.Microsecond}
-}
-
 // Registry maps node IDs to keypairs. Keys are derived deterministically
 // from a seed so simulations are reproducible.
 type Registry struct {
 	privs []ed25519.PrivateKey
 	pubs  []ed25519.PublicKey
-	Costs CostModel
 	// memo / seals are the crypto fast path (nil = always recompute).
 	// They default to the process-shared instances so concurrent campaign
 	// workers replaying same-seed deployments reuse each other's work.
@@ -70,7 +56,6 @@ func NewRegistry(seed uint64, n int) *Registry {
 		privs: make([]ed25519.PrivateKey, n),
 		pubs:  make([]ed25519.PublicKey, n),
 		btabs: make([]atomic.Pointer[edwards.AffineNafTable], n),
-		Costs: DefaultCosts(),
 	}
 	if memosEnabled.Load() {
 		r.memo, r.seals = sharedVerify, sharedSeal

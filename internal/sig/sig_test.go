@@ -141,13 +141,6 @@ func TestEquivocationIsPossibleAndDetectable(t *testing.T) {
 	}
 }
 
-func TestDefaultCostsPositive(t *testing.T) {
-	c := DefaultCosts()
-	if c.Sign <= 0 || c.Verify <= 0 {
-		t.Error("costs must be positive")
-	}
-}
-
 func BenchmarkSign(b *testing.B) {
 	r := NewRegistry(1, 1)
 	msg := make([]byte, 128)
