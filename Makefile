@@ -39,15 +39,17 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Short fuzz pass over the wire codecs (the seed corpora always run as
-# part of `go test`; this digs further): the evidence record codec, the
-# membership epoch-record codec, and the client request/response (Q)
-# frame codec. Override the budget with `make fuzz FUZZTIME=10s` (CI
-# does).
+# Short fuzz pass over the wire codecs and the signature verifier (the
+# seed corpora always run as part of `go test`; this digs further): the
+# evidence record codec, the membership epoch-record codec, the client
+# request/response (Q) frame codec, and the fixed-base ed25519 verifier
+# against crypto/ed25519.Verify. Override the budget with
+# `make fuzz FUZZTIME=10s` (CI does).
 fuzz:
 	$(GO) test ./internal/evidence -fuzz=FuzzRecordRoundTrip -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/member -fuzz=FuzzEpochRoundTrip -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/wire -fuzz=FuzzQFrameRoundTrip -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/sig -fuzz=FuzzVerifyMatchesStdlib -fuzztime=$(FUZZTIME)
 
 # Coverage profile over the whole module plus a threshold gate: total
 # statement coverage must stay at or above COVER_MIN.

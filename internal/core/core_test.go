@@ -192,3 +192,16 @@ func TestDeterministicReports(t *testing.T) {
 		t.Errorf("nondeterministic: (%d,%d,%v) vs (%d,%d,%v)", w1, e1, r1, w2, e2, r2)
 	}
 }
+
+// TestNewSystemBuildsNoVerifyTables pins that set-up stays flat: the
+// per-signer fixed-base verification tables are built on each signer's
+// first verify miss during the run, never by NewSystem.
+func TestNewSystemBuildsNoVerifyTables(t *testing.T) {
+	s, err := NewSystem(chainConfig(5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := s.Registry.TablesBuilt(); n != 0 {
+		t.Fatalf("NewSystem built %d verify tables, want 0", n)
+	}
+}

@@ -161,23 +161,6 @@ func (r *Registry) CheckBatch(envs []Envelope) (int, bool) {
 	return r.CheckBatchSequential(envs)
 }
 
-// batchTable returns the cached precomputed NAF table for id's public
-// key, building it on first use. Registry keys always decompress (they
-// are honestly generated), so a nil return is a defensive impossibility
-// that just routes the caller to the sequential path.
-func (r *Registry) batchTable(id int) *edwards.AffineNafTable {
-	if t := r.btabs[id].Load(); t != nil {
-		return t
-	}
-	A, err := new(edwards.Point).SetBytes(r.pubs[id])
-	if err != nil {
-		return nil
-	}
-	t := edwards.NewAffineNafTable(A)
-	r.btabs[id].Store(t)
-	return t
-}
-
 // batchVerifyCached evaluates the cofactored batch equation over
 // envs[idx...] using the registry's cached per-signer tables: the
 // signature R points (seen once) are the only per-batch decompressions
@@ -207,9 +190,7 @@ func (r *Registry) batchVerifyCached(envs []Envelope, idx []int) bool {
 		if err != nil {
 			return false
 		}
-		if tabs[j] = r.batchTable(int(e.Signer)); tabs[j] == nil {
-			return false
-		}
+		tabs[j] = r.signers[e.Signer].batchTable()
 		copy(zbuf[:16], zraw[16*j:])
 		z, err := edwards.NewScalar().SetCanonicalBytes(zbuf[:])
 		if err != nil {

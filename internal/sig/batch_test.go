@@ -218,12 +218,27 @@ func TestMeasureBatchSpeedup(t *testing.T) {
 	t.Logf("batch=%.0f ns/op sequential=%.0f ns/op speedup=%.2fx", b, s, s/b)
 }
 
-func BenchmarkCheckBatch16(b *testing.B)           { benchCheckBatch(b, 16, true) }
-func BenchmarkCheckBatch64(b *testing.B)           { benchCheckBatch(b, 64, true) }
-func BenchmarkCheckBatchSequential16(b *testing.B) { benchCheckBatch(b, 16, false) }
-func BenchmarkCheckBatchSequential64(b *testing.B) { benchCheckBatch(b, 64, false) }
+func BenchmarkCheckBatch16(b *testing.B)           { benchCheckBatch(b, 16, batchPath) }
+func BenchmarkCheckBatch64(b *testing.B)           { benchCheckBatch(b, 64, batchPath) }
+func BenchmarkCheckBatchSequential16(b *testing.B) { benchCheckBatch(b, 16, stdlibPath) }
+func BenchmarkCheckBatchSequential64(b *testing.B) { benchCheckBatch(b, 64, stdlibPath) }
 
-func benchCheckBatch(b *testing.B, size int, batched bool) {
+// BenchmarkCheckBatchFixedSequential16/64 time the fallback CheckBatch
+// really takes, CheckBatchSequential, with the memo off so every check
+// is a fixed-base miss: the margin the batch equation keeps over it.
+func BenchmarkCheckBatchFixedSequential16(b *testing.B) { benchCheckBatch(b, 16, fixedPath) }
+func BenchmarkCheckBatchFixedSequential64(b *testing.B) { benchCheckBatch(b, 64, fixedPath) }
+
+// benchPath is the verification path benchCheckBatch times.
+type benchPath int
+
+const (
+	batchPath  benchPath = iota // one cofactored batch equation
+	stdlibPath                  // a crypto/ed25519.Verify loop
+	fixedPath                   // CheckBatchSequential on the fixed-base path
+)
+
+func benchCheckBatch(b *testing.B, size int, path benchPath) {
 	r := NewRegistry(0xbb, batchTestNodes)
 	r.UseMemos(nil, nil)
 	envs := make([]Envelope, size)
@@ -232,20 +247,29 @@ func benchCheckBatch(b *testing.B, size int, batched bool) {
 		envs[i] = r.Seal(network.NodeID(i%batchTestNodes), []byte(fmt.Sprintf("bench %d/%d", size, i)))
 		idx[i] = i
 	}
-	if !r.batchVerifyCached(envs, idx) { // warm the per-signer tables
+	// Warm the per-signer tables of both registry paths.
+	if !r.batchVerifyCached(envs, idx) {
 		b.Fatal("batch rejected")
+	}
+	if _, ok := r.CheckBatchSequential(envs); !ok {
+		b.Fatal("sequential rejected")
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if batched {
+		switch path {
+		case batchPath:
 			if !r.batchVerifyCached(envs, idx) {
 				b.Fatal("batch rejected")
 			}
-		} else {
+		case stdlibPath:
 			for j := 0; j < size; j++ {
 				if !ed25519.Verify(r.pubs[envs[j].Signer], envs[j].Body, envs[j].Sig) {
 					b.Fatal("sequential rejected")
 				}
+			}
+		case fixedPath:
+			if _, ok := r.CheckBatchSequential(envs); !ok {
+				b.Fatal("sequential rejected")
 			}
 		}
 	}

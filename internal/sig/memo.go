@@ -62,8 +62,9 @@ type verifyShard struct {
 }
 
 // VerifyMemo is a sharded, concurrency-safe, positive-entry-only cache of
-// successful ed25519 verifications. The zero value is not usable; call
-// NewVerifyMemo.
+// successful ed25519 verifications. A Registry consults it on every
+// Verify (Registry.UseMemos attaches one). The zero value is not usable;
+// call NewVerifyMemo.
 type VerifyMemo struct {
 	shards [memoShards]verifyShard
 	hits   atomic.Uint64
@@ -79,35 +80,21 @@ func NewVerifyMemo() *VerifyMemo {
 	return m
 }
 
-// Verify checks sig over msg under pub, consulting the memo first. The
-// result is identical to ed25519.Verify for every input (see the package
-// soundness argument); only repeated successful verifications get cheaper.
-func (m *VerifyMemo) Verify(pub ed25519.PublicKey, msg, sig []byte) bool {
-	if len(pub) != ed25519.PublicKeySize || len(sig) != ed25519.SignatureSize {
-		return false
-	}
-	var k verifyKey
-	copy(k.pub[:], pub)
-	k.dig = sha256.Sum256(msg)
-	copy(k.sig[:], sig)
-	sh := &m.shards[k.dig[0]&memoShardMask]
-	sh.mu.RLock()
-	_, ok := sh.m[k]
-	sh.mu.RUnlock()
-	if ok {
-		m.hits.Add(1)
+// verify checks sig over msg under pub, consulting the memo first: build
+// the key, look it up, and on a miss run check and insert the triple if
+// it passed. check must return crypto/ed25519.Verify's verdict on (pub,
+// msg, sig), so the result is identical to it for every input (see the
+// soundness argument above); only repeated successful verifications get
+// cheaper. Callers must have length-checked pub and sig.
+func (m *VerifyMemo) verify(pub ed25519.PublicKey, msg, sig []byte, check func() bool) bool {
+	k := makeVerifyKey(pub, msg, sig)
+	if m.lookup(k) {
 		return true
 	}
-	m.misses.Add(1)
-	if !ed25519.Verify(pub, msg, sig) {
+	if !check() {
 		return false // never cached: positive entries only
 	}
-	sh.mu.Lock()
-	if len(sh.m) >= verifyShardCap {
-		clear(sh.m) // bounded memory; dropping entries is always sound
-	}
-	sh.m[k] = struct{}{}
-	sh.mu.Unlock()
+	m.insert(k)
 	return true
 }
 

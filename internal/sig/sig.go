@@ -13,6 +13,15 @@
 // to make Verify a memoized pure function (see memo.go for the soundness
 // argument: positive-only entries keyed by the full signer/digest/signature
 // triple).
+//
+// A memo miss is verified against a per-signer fixed-base table
+// (verify.go): the kernel is edwards25519.VarTimeDoubleFixedBaseMult,
+// which evaluates [k](−A) + [S]B from precomputed radix-16 multiples of
+// the signer's −A and of B, and returns crypto/ed25519.Verify's verdict
+// on every input. It runs in variable time, which is safe because every
+// verify input — key, message, signature — is public, and because its
+// tables are built only from the registry's own keys, never from bytes
+// read off the wire. Signing stays on constant-time crypto/ed25519.Sign.
 package sig
 
 import (
@@ -20,10 +29,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"sync/atomic"
 
 	"btr/internal/network"
-	edwards "btr/internal/sig/edwards25519"
 	"btr/internal/sim"
 )
 
@@ -43,19 +50,17 @@ type Registry struct {
 	// controls node keys of compromised nodes, never the operator key.
 	opPriv ed25519.PrivateKey
 	opPub  ed25519.PublicKey
-	// btabs lazily caches each node key's decompressed point as a
-	// precomputed NAF table for the batch-verification equation
-	// (batch.go). Built at most once per node per registry; a racing
-	// double build is harmless (both results are identical).
-	btabs []atomic.Pointer[edwards.AffineNafTable]
+	// signers holds each key's slot and its lazily built verification
+	// tables (verify.go): index i < n is node i, index n the operator key.
+	signers []signer
 }
 
 // NewRegistry creates keypairs for nodes 0..n-1, derived from seed.
 func NewRegistry(seed uint64, n int) *Registry {
 	r := &Registry{
-		privs: make([]ed25519.PrivateKey, n),
-		pubs:  make([]ed25519.PublicKey, n),
-		btabs: make([]atomic.Pointer[edwards.AffineNafTable], n),
+		privs:   make([]ed25519.PrivateKey, n),
+		pubs:    make([]ed25519.PublicKey, n),
+		signers: make([]signer, n+1),
 	}
 	if memosEnabled.Load() {
 		r.memo, r.seals = sharedVerify, sharedSeal
@@ -68,6 +73,7 @@ func NewRegistry(seed uint64, n int) *Registry {
 		}
 		r.privs[i] = ed25519.NewKeyFromSeed(kseed[:])
 		r.pubs[i] = r.privs[i].Public().(ed25519.PublicKey)
+		r.signers[i].pub = r.pubs[i]
 	}
 	// The operator key is drawn after every node key so adding it did not
 	// disturb the node keys any historical seed derives.
@@ -77,6 +83,7 @@ func NewRegistry(seed uint64, n int) *Registry {
 	}
 	r.opPriv = ed25519.NewKeyFromSeed(oseed[:])
 	r.opPub = r.opPriv.Public().(ed25519.PublicKey)
+	r.signers[n].pub = r.opPub
 	return r
 }
 
@@ -94,10 +101,7 @@ func (r *Registry) OperatorVerify(msg, sig []byte) bool {
 	if len(sig) != ed25519.SignatureSize {
 		return false
 	}
-	if r.memo != nil {
-		return r.memo.Verify(r.opPub, msg, sig)
-	}
-	return ed25519.Verify(r.opPub, msg, sig)
+	return r.verify(len(r.pubs), msg, sig)
 }
 
 // UseMemos overrides the registry's memos (nil disables caching). Tests
@@ -119,15 +123,23 @@ func (r *Registry) Sign(id network.NodeID, msg []byte) []byte {
 
 // Verify reports whether sig is id's valid signature over msg. Repeated
 // verifications of the same triple hit the memo (memo.go) and skip the
-// ed25519 math; the result is identical either way.
+// ed25519 math; a miss runs the fixed-base verifier (verify.go). The
+// result equals crypto/ed25519.Verify's either way.
 func (r *Registry) Verify(id network.NodeID, msg, sig []byte) bool {
 	if int(id) < 0 || int(id) >= len(r.pubs) || len(sig) != ed25519.SignatureSize {
 		return false
 	}
-	if r.memo != nil {
-		return r.memo.Verify(r.pubs[id], msg, sig)
+	return r.verify(int(id), msg, sig)
+}
+
+// verify checks sig over msg under the key in signer slot slot, through
+// the memo when there is one.
+func (r *Registry) verify(slot int, msg, sig []byte) bool {
+	s := &r.signers[slot]
+	if r.memo == nil {
+		return s.verify(msg, sig)
 	}
-	return ed25519.Verify(r.pubs[id], msg, sig)
+	return r.memo.verify(s.pub, msg, sig, func() bool { return s.verify(msg, sig) })
 }
 
 // VerifyUncached is the memo-free verification path — the frozen baseline
